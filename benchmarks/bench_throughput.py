@@ -202,6 +202,70 @@ def test_fast_path_speedup(benchmark, workload, packed_workload, name):
         )
 
 
+#: Required speedup of the columnar shadow cache over the dict-based
+#: reference (tests/core/shadow_reference.py).  Both are timed in the same
+#: process on the same window, so the ratio holds on any machine; the
+#: measured speedup is ~35x.
+SHADOW_SPEEDUP_TARGET = 5.0
+
+
+def test_shadow_replay_speedup(benchmark):
+    """Threshold shadow replay: columnar cache vs the dict-based reference.
+
+    A seeded synthetic window of 20k samples (Zipf popularity over 6k
+    objects, log-normal sizes) whose shadow cache holds ~1.4k-2.4k
+    objects at each overflow.  The two must return ``==`` ratios, and
+    the columnar cache must run at least 5x faster.  A hard gate: both
+    timings come from this run.
+    """
+    import numpy as np
+
+    from repro.core.threshold import WindowSample, shadow_hit_ratio
+    from tests.core.shadow_reference import shadow_hit_ratio_reference
+
+    rng = np.random.default_rng(0)
+    objects = 6_000
+    obj_ids = rng.zipf(1.2, 20_000) % objects
+    sizes = rng.lognormal(10.0, 1.0, objects).astype(np.int64) + 1
+    times = np.cumsum(rng.exponential(1.0, len(obj_ids)))
+    probabilities = rng.random(len(obj_ids))
+    samples = [
+        WindowSample(int(o), int(sizes[o]), float(t), float(p))
+        for o, t, p in zip(obj_ids, times, probabilities)
+    ]
+    capacity = int(sizes[np.unique(obj_ids)].sum() * 0.4)
+
+    reference_seconds = float("inf")
+    for _ in range(2):
+        start = time.perf_counter()
+        expected = shadow_hit_ratio_reference(samples, capacity, 0.3)
+        reference_seconds = min(reference_seconds, time.perf_counter() - start)
+
+    ratio = benchmark.pedantic(
+        lambda: shadow_hit_ratio(samples, capacity, 0.3), rounds=3, iterations=1
+    )
+    assert ratio == expected
+    # Fastest round, as in test_fast_path_speedup: one scheduler stall
+    # cannot fail the gate.
+    columnar_seconds = benchmark.stats.stats.min
+    speedup = reference_seconds / columnar_seconds
+    benchmark.extra_info.update(
+        reference_seconds=round(reference_seconds, 4),
+        columnar_seconds=round(columnar_seconds, 4),
+        speedup=round(speedup, 1),
+        target=SHADOW_SPEEDUP_TARGET,
+    )
+    print(
+        f"\nshadow replay: reference {reference_seconds:.3f}s -> columnar "
+        f"{columnar_seconds:.4f}s = {speedup:.1f}x "
+        f"(target {SHADOW_SPEEDUP_TARGET}x)"
+    )
+    assert speedup >= SHADOW_SPEEDUP_TARGET, (
+        f"columnar shadow cache only {speedup:.1f}x faster than the "
+        f"reference (target {SHADOW_SPEEDUP_TARGET}x)"
+    )
+
+
 #: GBM inference variants measured by the micro-bench: the public batch
 #: ``predict`` (flat-tree, vectorized sigmoid), the scalar ``predict_one``
 #: loop, and ``predict_batch`` (flat-tree, scalar-exact sigmoid — the

@@ -48,55 +48,69 @@ def shadow_hit_ratio(
     """Hit ratio of an LHR-style shadow cache with threshold ``delta``.
 
     The shadow cache admits ``probability >= delta`` and evicts the
-    cached object with the smallest ``p / (size * (now - last_access))``,
-    i.e. LHR's eviction rule with IRT_1 evaluated lazily at eviction time
-    via a lazily rebuilt heap (one rebuild pass per overflow burst keeps
-    the replay O(n log n) overall).
+    cached object with the smallest ``q = p / (size * (now - last_access))``,
+    i.e. LHR's eviction rule with IRT_1 evaluated at eviction time.
+
+    Cached objects live in size / p / last-access columns, one
+    append-only slot per admission: a hit updates its slot in place, an
+    eviction tombstones it (``p = inf``) and a re-admission appends a new
+    slot, so slot order is admission order.  An overflow computes every
+    slot's ``q`` in one vectorised pass, then evicts by repeated
+    ``argmin``: survivors' ``q`` cannot change within one ``now`` and
+    ``argmin`` returns the earliest slot among ties, so victims leave in
+    ascending ``q``, earliest admission first.  Tombstones are compacted
+    away once they outnumber the live slots, so each overflow costs
+    O(cached objects) plus one O(cached) ``argmin`` per victim.
     """
     if not samples:
         return 0.0
-    cached: dict[int, tuple[int, float, float]] = {}  # id -> (size, p, last)
+    # At most one slot per admission; rows are size, p, last access.
+    columns = np.empty((3, len(samples)), dtype=np.float64)
+    size_col, p_col, last_col = columns
+    ids: list[int] = []
+    sizes: list[int] = []
+    slot_of: dict[int, int] = {}  # live objects only
+    end = 0  # slots in use, live or tombstoned
     used = 0
     hits = 0.0
     total = 0.0
     for sample in samples:
-        weight = float(sample.size) if byte_weighted else 1.0
+        size = sample.size
+        weight = float(size) if byte_weighted else 1.0
         total += weight
-        entry = cached.get(sample.obj_id)
-        if entry is not None:
+        slot = slot_of.get(sample.obj_id)
+        if slot is not None:
             hits += weight
-            cached[sample.obj_id] = (entry[0], sample.probability, sample.time)
+            p_col[slot] = sample.probability
+            last_col[slot] = sample.time
             continue
-        if sample.probability < delta or sample.size > capacity:
+        if sample.probability < delta or size > capacity:
             continue
-        if used + sample.size > capacity:
-            # Evict smallest-q objects until the sample fits.  Large
-            # shadow caches rank their victims vectorized: the q values
-            # use the same float ops as the scalar key and a stable
-            # argsort keeps sorted()'s tie order (dict insertion order),
-            # so the victim sequence is bit-identical either way.
-            if len(cached) >= 64:
-                entries = np.array(list(cached.values()), dtype=np.float64)
-                q = entries[:, 1] / (
-                    entries[:, 0]
-                    * np.maximum(sample.time - entries[:, 2], 1e-9)
-                )
-                ids = list(cached)
-                scores = [
-                    ids[i] for i in np.argsort(q, kind="stable").tolist()
-                ]
-            else:
-                scores = sorted(
-                    cached,
-                    key=lambda oid: cached[oid][1]
-                    / (cached[oid][0] * max(sample.time - cached[oid][2], 1e-9)),
-                )
-            for victim in scores:
-                if used + sample.size <= capacity:
-                    break
-                used -= cached.pop(victim)[0]
-        cached[sample.obj_id] = (sample.size, sample.probability, sample.time)
-        used += sample.size
+        if used + size > capacity:
+            q = p_col[:end] / (
+                size_col[:end] * np.maximum(sample.time - last_col[:end], 1e-9)
+            )
+            while used + size > capacity:
+                victim = int(q.argmin())
+                q[victim] = p_col[victim] = np.inf
+                used -= sizes[victim]
+                del slot_of[ids[victim]]
+            if end > 2 * len(slot_of):
+                live = np.flatnonzero(p_col[:end] != np.inf)
+                end = len(live)
+                columns[:, :end] = columns[:, live]
+                keep = live.tolist()
+                ids = [ids[i] for i in keep]
+                sizes = [sizes[i] for i in keep]
+                slot_of = {obj_id: i for i, obj_id in enumerate(ids)}
+        slot_of[sample.obj_id] = end
+        ids.append(sample.obj_id)
+        sizes.append(size)
+        size_col[end] = size
+        p_col[end] = sample.probability
+        last_col[end] = sample.time
+        end += 1
+        used += size
     return hits / total if total else 0.0
 
 
