@@ -150,6 +150,17 @@ def parse_size(text: str) -> int:
     return max(int(value), 1)
 
 
+def _positive_int(text: str) -> int:
+    """Parse a count that must be at least 1 (``--shards``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return value
+
+
 def load_any_trace(path: str) -> Trace:
     """Load a trace, dispatching on extension (.csv vs anything else)."""
     file_path = Path(path)
@@ -487,7 +498,7 @@ def _simulate_sharded(args: argparse.Namespace, trace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run one policy over a trace and print the result row."""
     trace = load_any_trace(args.trace)
-    if getattr(args, "shards", 1) > 1:
+    if args.shards > 1:
         return _simulate_sharded(args, trace)
     policy = build_policy(args.policy, args.capacity)
     serving = args.serve is not None
@@ -1196,7 +1207,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="requests replayed before metrics start counting",
     )
     sim.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="hash-shard the object-id space across this many independent "
         "policy instances (capacity split evenly); 1 = unsharded replay",
     )

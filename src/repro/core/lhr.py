@@ -32,7 +32,6 @@ from repro.core.detection import DriftDetector
 from repro.core.features import FeatureStore, feature_dim
 from repro.core.gbm import GradientBoostingRegressor
 from repro.core.hro import HroBound, HroWindow, window_labels_for_ids
-from repro.core.model_backends import resolve_backend
 from repro.core.threshold import ThresholdEstimator, WindowSample
 from repro.obs import Observation
 from repro.obs.learner import CAL_BINS, CalibrationStats, realized_reuse
@@ -79,10 +78,6 @@ class LhrCache(CachePolicy):
         ``"byte"`` tunes it for byte hit ratio (WAN traffic) instead.
     gbm_params:
         Overrides for the :class:`GradientBoostingRegressor`.
-    model_backend:
-        Inference backend name (``"scalar"``, ``"batched"`` or
-        ``"auto"``); every backend is bit-exact, so this is a pure
-        performance knob.  See :mod:`repro.core.model_backends`.
     """
 
     name = "lhr"
@@ -103,14 +98,11 @@ class LhrCache(CachePolicy):
         sample_fraction: float = 0.5,
         threshold_objective: str = "object",
         gbm_params: dict | None = None,
-        model_backend: str = "auto",
         seed: int = 0,
     ):
         super().__init__(capacity)
         if eviction_rule not in EVICTION_RULES:
             raise ValueError(f"eviction_rule must be one of {EVICTION_RULES}")
-        self._backend = resolve_backend(model_backend)
-        self.model_backend = self._backend.name
         self.num_irts = num_irts
         self.auto_threshold = auto_threshold
         self.use_detection = use_detection
@@ -229,10 +221,10 @@ class LhrCache(CachePolicy):
         if self._model is not None:
             if self._predict_histogram is not None:
                 start = time.perf_counter()
-                p = min(max(self._backend.score_one(self._model, row), 0.0), 1.0)
+                p = min(max(self._model.predict_one(row), 0.0), 1.0)
                 self._predict_histogram.observe(time.perf_counter() - start)
             else:
-                p = min(max(self._backend.score_one(self._model, row), 0.0), 1.0)
+                p = min(max(self._model.predict_one(row), 0.0), 1.0)
         else:
             # Bootstrap (first window): behave as admit-all with p = 1.
             p = 1.0
@@ -324,8 +316,8 @@ class LhrCache(CachePolicy):
         """Replay a span with block-scored admission probabilities.
 
         The span's feature rows are assembled in one
-        ``FeatureStore.feature_matrix`` gather and scored in one model
-        backend call; a sequential loop then applies the exact
+        ``FeatureStore.feature_matrix`` gather and scored in one
+        ``predict_batch`` call; a sequential loop then applies the exact
         per-request control flow of ``request`` + ``_access_scalar``
         (observe, window buffers, HRO, hit/miss bookkeeping, eviction),
         reading ``delta`` after HRO processing just like the scalar
@@ -339,7 +331,6 @@ class LhrCache(CachePolicy):
         """
         features = self.features
         num_irts = self.num_irts
-        score_block = self._backend.score_block
         observe = features.observe_scalar
         hro_process = self.hro.process_scalar
         select_victim = self._select_victim_scalar
@@ -360,7 +351,7 @@ class LhrCache(CachePolicy):
             )
             model = self._model
             probs = (
-                score_block(model, block).tolist()
+                model.predict_batch(block).tolist()
                 if model is not None
                 else None
             )

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.obs import NULL_OBS, Observation
 from repro.obs.spans import NULL_SPANS
 from repro.obs.trace import DecisionTracer
@@ -295,36 +297,68 @@ def _replay_packed(
     heartbeat=None,
     heartbeat_interval: int = 0,
     spans=None,
+    positions: np.ndarray | None = None,
 ) -> SimulationResult:
-    """Columnar replay: drive ``request_scalar`` straight from the packed
-    scalar columns, no per-request ``Request`` allocation.
+    """Columnar replay: drive ``policy.replay_span`` straight from the
+    packed scalar columns, no per-request ``Request`` allocation.
 
-    ``spans`` (a :class:`~repro.obs.spans.SpanRecorder` or the default
-    no-op) records the timeline at chunk granularity — one ``sim.chunk``
-    span per ``replay_span`` call, plus the replay/warmup envelopes.
-    Chunk boundaries already land on the warmup edge and window
-    rollovers, so the chunked timeline aligns with the object loop's
-    phases; when disabled the loop pays one boolean check per *chunk*,
-    not per request.
-
-    Equivalence with the object loop is by construction and pinned by
-    ``tests/sim/test_fastpath.py``: the trace is processed in chunks
-    whose boundaries land exactly on the object loop's bookkeeping
-    points (metadata probes after index ``i % interval == 0``, window
-    rollovers every ``window_requests``, heartbeats at
-    ``(i + 1) % heartbeat_interval == 0``, the warmup edge), and all
-    aggregate/window accounting is reconstructed from the policy's own
-    monotone counters as deltas at those boundaries — every request adds
-    its size to exactly one of ``hit_bytes``/``miss_bytes``, so byte and
-    hit totals over any index range are counter differences.  Each chunk
+    ``positions`` are the ascending global row indices to replay (a
+    shard's subsequence); ``None`` replays every row.  All bookkeeping
+    edges live on the *global* request grid and are located in the
+    replayed subsequence with ``searchsorted``/``nonzero``: window
+    closes every ``window_requests``, the warmup edge, metadata probes
+    after global index ``i % interval == 0`` and heartbeats at global
+    multiples of ``heartbeat_interval`` (reporting the count replayed
+    so far).  The chunk stops are those edges, computed once; each chunk
     goes through ``policy.replay_span`` in one call, so span-kernel
     policies pay Python dispatch per chunk, not per request.
+
+    Accounting is pure counter deltas: every request adds its size to
+    exactly one of ``hit_bytes``/``miss_bytes``, so hit and byte totals
+    over any range are differences of the policy's monotone counters,
+    snapshotted at the stops.  With every row replayed the stops land
+    exactly on the object loop's bookkeeping points, which is why the
+    two paths agree bit for bit (pinned by ``tests/sim/test_fastpath.py``).
+
+    ``spans`` (a :class:`~repro.obs.spans.SpanRecorder` or the default
+    no-op) records one ``sim.chunk`` span per ``replay_span`` call plus
+    the replay/warmup envelopes; disabled, the loop pays one boolean
+    check per chunk.
     """
-    obj_ids, sizes, times = packed.scalar_columns()
-    total = len(obj_ids)
-    replay_span = policy.replay_span
+    total = len(packed)
+    if positions is None:
+        obj_ids, sizes, times = packed.scalar_columns()
+        positions = np.arange(total)
+    else:
+        obj_ids = packed.obj_ids[positions].tolist()
+        sizes = packed.sizes[positions].tolist()
+        times = packed.times[positions].tolist()
+    count = len(positions)
     interval = metadata_probe_interval
-    warmup = min(warmup_requests, total)
+    num_windows = -(-total // window_requests) if window_requests else 0
+    closes = np.searchsorted(
+        positions,
+        np.minimum(np.arange(1, num_windows + 1) * window_requests, total),
+    ).tolist()
+    warm = int(np.searchsorted(positions, warmup_requests))
+    probes = (
+        set((np.nonzero(positions % interval == 0)[0] + 1).tolist())
+        if interval
+        else set()
+    )
+    beats = (
+        set(
+            np.searchsorted(
+                positions,
+                np.arange(heartbeat_interval, total + 1, heartbeat_interval),
+            ).tolist()
+        )
+        if heartbeat_interval
+        else set()
+    )
+    stops = sorted({count, warm, *closes, *probes, *beats} - {0})
+
+    replay_span = policy.replay_span
     if spans is None:
         spans = NULL_SPANS
     spans_on = spans.enabled
@@ -335,82 +369,69 @@ def _replay_packed(
             cat="sim",
             policy=policy.name,
             trace=packed.name,
-            requests=total,
+            requests=count,
             packed=True,
         )
-        if warmup:
+        if warm:
             warmup_span_handle = spans.begin(
-                "sim.warmup", cat="sim", requests=warmup
+                "sim.warmup", cat="sim", requests=warm
             )
-    # Measured-aggregate base: counters at the warmup edge (policies may
-    # enter with non-zero totals; resumable replays accumulate).
-    base_hits = policy.hits
-    base_hit_bytes = policy.hit_bytes
-    base_bytes = policy.hit_bytes + policy.miss_bytes
-    window: WindowMetrics | None = None
-    window_begin = 0
-    win_hits = win_hit_bytes = win_bytes = win_evictions = 0
-    start = time.perf_counter()
+
+    def snapshot():
+        return (
+            policy.hits,
+            policy.hit_bytes,
+            policy.hit_bytes + policy.miss_bytes,
+            policy.evictions,
+        )
+
+    # Counters at each stop; policies may enter with non-zero totals
+    # (resumable replays accumulate), so everything is a delta.
+    snapshots = {0: snapshot()}
     peak_metadata = 0
+    start = time.perf_counter()
     i = 0
-    while i < total:
-        stop = total
-        if interval:
-            aligned = ((i + interval - 1) // interval) * interval + 1
-            if aligned < stop:
-                stop = aligned
-        if window_requests:
-            if i % window_requests == 0:
-                window = WindowMetrics(index=len(result.windows))
-                result.windows.append(window)
-                window_begin = i
-                win_hits = policy.hits
-                win_hit_bytes = policy.hit_bytes
-                win_bytes = policy.hit_bytes + policy.miss_bytes
-                win_evictions = policy.evictions
-            boundary = (i // window_requests + 1) * window_requests
-            if boundary < stop:
-                stop = boundary
-        if heartbeat_interval:
-            boundary = (i // heartbeat_interval + 1) * heartbeat_interval
-            if boundary < stop:
-                stop = boundary
-        if i < warmup < stop:
-            stop = warmup
+    for stop in stops:
         if spans_on:
             chunk = spans.begin("sim.chunk", cat="sim", start=i, stop=stop)
             replay_span(obj_ids, sizes, times, i, stop)
             spans.end(chunk)
         else:
             replay_span(obj_ids, sizes, times, i, stop)
-        if window is not None:
-            window.requests = stop - window_begin
-            window.hits = policy.hits - win_hits
-            window.hit_bytes = policy.hit_bytes - win_hit_bytes
-            window.total_bytes = policy.hit_bytes + policy.miss_bytes - win_bytes
-            window.evictions = policy.evictions - win_evictions
-        if stop == warmup:
-            base_hits = policy.hits
-            base_hit_bytes = policy.hit_bytes
-            base_bytes = policy.hit_bytes + policy.miss_bytes
-            if warmup_span_handle is not None:
-                spans.end(warmup_span_handle)
-                warmup_span_handle = None
-        if interval and (stop - 1) % interval == 0:
+        snapshots[stop] = snapshot()
+        if stop == warm and warmup_span_handle is not None:
+            spans.end(warmup_span_handle)
+            warmup_span_handle = None
+        if stop in probes:
             metadata = policy.metadata_bytes()
             if metadata > peak_metadata:
                 peak_metadata = metadata
-        if heartbeat_interval and stop % heartbeat_interval == 0:
+        if stop in beats:
             heartbeat(stop)
         i = stop
     result.runtime_seconds = time.perf_counter() - start
     result.peak_metadata_bytes = max(peak_metadata, policy.metadata_bytes())
     result.evictions = policy.evictions
     result.admissions = policy.admissions
-    result.requests += total - warmup
-    result.hits += policy.hits - base_hits
-    result.hit_bytes += policy.hit_bytes - base_hit_bytes
-    result.total_bytes += policy.hit_bytes + policy.miss_bytes - base_bytes
+    base, final = snapshots[warm], snapshots[count]
+    result.requests += count - warm
+    result.hits += final[0] - base[0]
+    result.hit_bytes += final[1] - base[1]
+    result.total_bytes += final[2] - base[2]
+    previous = 0
+    for close in closes:
+        before, after = snapshots[previous], snapshots[close]
+        result.windows.append(
+            WindowMetrics(
+                index=len(result.windows),
+                requests=close - previous,
+                hits=after[0] - before[0],
+                hit_bytes=after[1] - before[1],
+                total_bytes=after[2] - before[2],
+                evictions=after[3] - before[3],
+            )
+        )
+        previous = close
     if spans_on:
         if warmup_span_handle is not None:
             spans.end(warmup_span_handle)

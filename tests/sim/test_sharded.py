@@ -16,17 +16,21 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.obs import MemoryRecorder, MetricsRegistry, Observation
 from repro.policies import POLICY_REGISTRY
 from repro.sim import (
     SweepCellError,
     known_policies,
     run_sharded,
+    run_sweep,
     shard_assignments,
     shard_capacities,
     shard_of,
     simulate,
 )
-from repro.sim.parallel import ShardSpec, _replay_shard, _run_shard
+from repro.sim.engine import _replay_packed
+from repro.sim.metrics import SimulationResult
+from repro.sim.parallel import CellSpec, _run_cell
 from repro.sim.runner import build_policy
 from repro.traces.packed import PackedTrace, live_segment_names
 from repro.traces.synthetic import irm_trace
@@ -213,8 +217,11 @@ class TestGlobalWindowAccounting:
         for shard in range(3):
             policy = build_policy("lru", caps[shard])
             global_idx = np.nonzero(assignment == shard)[0]
+            result = SimulationResult("lru", "sharded", caps[shard])
             per_shard.append(
-                _replay_shard(policy, shard_packed, global_idx, 250, 100)
+                _replay_packed(
+                    policy, shard_packed, result, 250, 100, positions=global_idx
+                )
             )
         merged = run_sharded(
             shard_packed, "lru", shard_capacity, shards=3,
@@ -291,17 +298,23 @@ class TestValidationAndFailure:
             )
         assert live_segment_names() == ()
 
+    def test_instrumented_shard_cell_fails(self, shard_packed, shard_capacity):
+        obs = Observation(recorder=MemoryRecorder(), registry=MetricsRegistry())
+        spec = CellSpec("lru", shard_capacity, index=0, shards=2)
+        with pytest.raises(SweepCellError, match="uninstrumented"):
+            run_sweep(shard_packed, [spec], obs=obs)
+
     def test_worker_entry_never_raises(self, shard_packed, shard_capacity):
         import repro.sim.parallel as parallel_module
 
         previous = parallel_module._WORKER_TRACE
         parallel_module._WORKER_TRACE = shard_packed
         try:
-            spec = ShardSpec(
-                policy="lru", capacity=shard_capacity, shard=0, shards=2,
+            spec = CellSpec(
+                policy="lru", capacity=shard_capacity, index=0, shards=2,
                 kwargs=(("bogus_kwarg", 1),),
             )
-            shard, result, failure = _run_shard(spec, 0, 0)
+            shard, result, failure = _run_cell(spec, 0, 0, False)[:3]
         finally:
             parallel_module._WORKER_TRACE = previous
         assert shard == 0

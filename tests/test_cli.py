@@ -133,6 +133,13 @@ class TestSubcommands:
         for name in ("infinite-cap", "pfoo-u", "hro", "belady-size", "pfoo-l"):
             assert name in captured
 
+    @pytest.mark.parametrize("shards", ["0", "-3"])
+    def test_simulate_rejects_non_positive_shards(self, trace_file, shards):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--trace", trace_file, "--policy", "lru",
+                  "--capacity", "1MB", "--shards", shards])
+        assert excinfo.value.code == 2
+
     def test_simulate_rejects_unknown_policy(self, trace_file):
         with pytest.raises(SystemExit):
             main(["simulate", "--trace", trace_file, "--policy", "bogus",
